@@ -154,7 +154,12 @@ class Simulator:
     # Execution
 
     def step(self):
-        """Process the single next event.  Raises IndexError if empty."""
+        """Process the single next event.  Raises IndexError if empty.
+
+        The reference semantics of one dispatch.  :meth:`run` inlines
+        it per queue kind and calls it only under an instance-level
+        ``step`` override (the probes that log every dispatch).
+        """
         when, _prio, _seq, event = self._queue.pop()
         self.now = when
         self.dispatched += 1
@@ -183,33 +188,26 @@ class Simulator:
 
         ``until`` may be a number (absolute simulation time) or an
         :class:`Event`; in the latter case the loop stops as soon as the
-        event has been processed and returns its value.
+        event has been processed and returns its value (re-raising its
+        exception if it failed), and a queue that drains first is a
+        RuntimeError.  Both kinds of stop run on the same dispatch
+        loops below: an event stop is a deadline of infinity plus an
+        identity check on each dispatched event.
         """
+        stop = None
         if isinstance(until, Event):
-            stop_event = until
+            stop = until
             # The caller observes this event's outcome (we re-raise
             # failures below), so it never counts as unhandled.
-            stop_event.defuse()
+            stop.defuse()
             # A pooled stop event must survive dispatch un-reset: the
-            # loop below reads ``processed`` and ``_value`` after it
-            # runs, and a recycled event would reset ``processed`` and
-            # spin forever.  Un-marking it simply leaks the object to
-            # the garbage collector.
-            stop_event._recycle = False
-            while not stop_event.processed:
-                if not self._queue:
-                    raise RuntimeError(
-                        "simulation ran dry before %r triggered" % (until,))
-                self.step()
-            pool = self._pool
-            if pool is not None and self.obs.enabled:
-                pool.publish(self.obs.metrics)
-            if stop_event._ok is False:
-                stop_event.defuse()
-                raise stop_event._value
-            return stop_event._value
-
-        deadline = float("inf") if until is None else float(until)
+            # outcome is read after the loop, and a recycled event
+            # would have lost it.  Un-marking it simply leaks the
+            # object to the garbage collector.
+            stop._recycle = False
+            deadline = float("inf")
+        else:
+            deadline = float("inf") if until is None else float(until)
         queue_obj = self._queue
         pool = self._pool
         # Bound once per run: the recycle hook in the loops below costs
@@ -227,7 +225,9 @@ class Simulator:
             free_timeouts = pool._free_timeouts
         else:
             free_events = free_timeouts = None
-        if "step" in self.__dict__:
+        if stop is not None and stop._processed:
+            pass                 # already processed: nothing to run
+        elif "step" in self.__dict__:
             # An instance-level step override (the obs schedule probe
             # wraps it to log every dispatch) must keep seeing each
             # event; take the plain loop.
@@ -237,6 +237,8 @@ class Simulator:
                 if upcoming is None or upcoming > deadline:
                     break
                 self.step()
+                if stop is not None and stop._processed:
+                    break
         elif type(queue_obj) is HeapQueue:
             # Fast path: step() inlined over the reference heap.
             # Locals for the heap list and heappop save a method call
@@ -270,6 +272,8 @@ class Simulator:
                         dispatch_counter.inc()
                         depth_gauge.set(len(queue))
                     event._process()
+                    if event is stop:
+                        break
                     if event._recycle:
                         if free_timeouts is not None:
                             # pool.recycle(event), inlined — see that
@@ -345,6 +349,8 @@ class Simulator:
                         dispatch_counter.inc()
                         depth_gauge.set(len(queue_obj))
                     event._process()
+                    if event is stop:
+                        break
                     if event._recycle:
                         if free_timeouts is not None:
                             # pool.recycle(event), inlined — see that
@@ -406,6 +412,8 @@ class Simulator:
                         dispatch_counter.inc()
                         depth_gauge.set(len(queue_obj))
                     event._process()
+                    if event is stop:
+                        break
                     if event._recycle:
                         if free_timeouts is not None:
                             # pool.recycle(event), inlined — see that
@@ -439,8 +447,16 @@ class Simulator:
                             recycle(event)
             finally:
                 self.dispatched += done
+        if stop is not None and not stop._processed:
+            raise RuntimeError(
+                "simulation ran dry before %r triggered" % (until,))
         if pool is not None and self.obs.enabled:
             pool.publish(self.obs.metrics)
+        if stop is not None:
+            if stop._ok is False:
+                stop.defuse()
+                raise stop._value
+            return stop._value
         if until is not None:
             self.now = max(self.now, deadline)
         return None

@@ -33,6 +33,12 @@ UPDATE_OPS = frozenset({
     TraceOp.UNLINK, TraceOp.RENAME, TraceOp.SYMLINK, TraceOp.SETATTR,
 })
 
+#: The complement of UPDATE_OPS, in declaration order (commonest
+#: first).  A tuple: membership tests compare by identity in C, where a
+#: frozenset lookup would call the Python-level ``Enum.__hash__`` once
+#: per replayed record.
+QUERY_OPS = tuple(op for op in TraceOp if op not in UPDATE_OPS)
+
 
 @dataclass
 class TraceRecord:
@@ -48,7 +54,7 @@ class TraceRecord:
 
     @property
     def is_update(self):
-        return self.op in UPDATE_OPS
+        return self.op not in QUERY_OPS
 
 
 @dataclass

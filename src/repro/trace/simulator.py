@@ -141,11 +141,7 @@ class CmlSimulator:
         if self.log_optimizations:
             cml.append(record, now)
         else:
-            record.time = now
-            record.seqno = next(cml._seq)
-            cml.stats.appended_records += 1
-            cml.stats.appended_bytes += record.size
-            cml._records.append(record)
+            cml.append_unoptimized(record, now)
 
     def _apply(self, cml, paths, known, record):
         op = record.op

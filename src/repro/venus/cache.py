@@ -150,6 +150,9 @@ class CacheManager:
         # table scan per hoard walk.
         self._volume_refs = {}
         self._local_refs = {}
+        # Resident entries inserted since the last take_inserted(), by
+        # fid: Venus's incremental dirty-flag refresh must visit them.
+        self._inserted = {}
 
     # -- lookup ----------------------------------------------------------
 
@@ -175,6 +178,12 @@ class CacheManager:
 
     def entries_in_volume(self, volid):
         return [e for e in self._entries.values() if e.fid.volume == volid]
+
+    def take_inserted(self):
+        """Resident entries inserted since the last call, and reset."""
+        inserted = self._inserted
+        self._inserted = {}
+        return inserted.values()
 
     def volume_info(self, volid):
         info = self._volumes.get(volid)
@@ -248,6 +257,7 @@ class CacheManager:
         if old is not None:
             self._detach(old)
         self._entries[entry.fid] = entry
+        self._inserted[entry.fid] = entry
         entry._cache = self
         self._used_bytes += entry.space
         refs = self._volume_refs
@@ -260,6 +270,7 @@ class CacheManager:
 
     def _detach(self, entry):
         entry._cache = None
+        self._inserted.pop(entry.fid, None)
         self._used_bytes -= entry.space
         vol = entry.fid.volume
         refs = self._volume_refs
@@ -334,7 +345,7 @@ class CacheManager:
 
     def is_valid(self, entry):
         """Believed coherent: object callback or volume callback."""
-        if entry.local:
+        if entry._local:
             return True
         if entry.callback:
             return True

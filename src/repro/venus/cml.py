@@ -93,6 +93,12 @@ class ClientModifyLog:
         self._records = []
         self._seq = count(1)
         self._frozen = set()       # id()s of records behind the barrier
+        # Live records per object fid: its keys are the set of objects
+        # the log references.  ``_moved`` collects the fids that
+        # entered or left that set since the last take_moved_fids(), so
+        # Venus refreshes cache entries' dirty flags incrementally.
+        self._fid_refs = {}
+        self._moved = set()
         self.stats = CmlStats()
         # Observability hook: called with the log after any content
         # change (append, commit, abort, discard).  None by default —
@@ -129,6 +135,20 @@ class ClientModifyLog:
     def unfrozen_records(self):
         return [r for r in self._records if id(r) not in self._frozen]
 
+    def references(self, fid):
+        """True if some live record acts upon ``fid``."""
+        return fid in self._fid_refs
+
+    def take_moved_fids(self):
+        """Fids that entered or left :meth:`references` since last asked.
+
+        A superset is allowed (a fid that left and came back is in
+        it); a fid whose membership changed is never missing.
+        """
+        moved = self._moved
+        self._moved = set()
+        return moved
+
     def oldest_age(self, now):
         if not self._records:
             return None
@@ -150,6 +170,28 @@ class ClientModifyLog:
         appended = self._optimize_and_insert(record)
         self._notify()
         return appended
+
+    def append_unoptimized(self, record, now):
+        """Log ``record`` with no cancellation (the optimizer ablation)."""
+        record.time = now
+        record.seqno = next(self._seq)
+        self.stats.appended_records += 1
+        self.stats.appended_bytes += record.size
+        self._link(record)
+        self._notify()
+
+    def replace_records(self, records):
+        """Install ``records`` as the whole log, barrier lifted.
+
+        For state restoration; sequence numbers and stats are the
+        caller's to restore.
+        """
+        self._moved.update(self._fid_refs)
+        self._records = []
+        self._fid_refs = {}
+        self._frozen = set()
+        for record in records:
+            self._link(record)
 
     def _optimize_and_insert(self, record):
         live = self._records
@@ -189,8 +231,28 @@ class ClientModifyLog:
                     self._remove(maker)
                     self._account_self_cancel(record)
                     return False
-        self._records.append(record)
+        self._link(record)
         return True
+
+    def _link(self, record):
+        self._records.append(record)
+        refs = self._fid_refs
+        fid = record.fid
+        live = refs.get(fid)
+        if live is None:
+            refs[fid] = 1
+            self._moved.add(fid)
+        else:
+            refs[fid] = live + 1
+
+    def _unref(self, fid):
+        refs = self._fid_refs
+        live = refs[fid] - 1
+        if live:
+            refs[fid] = live
+        else:
+            del refs[fid]
+            self._moved.add(fid)
 
     def _find_unfrozen(self, predicate):
         for index in range(len(self._records) - 1, -1, -1):
@@ -207,6 +269,7 @@ class ClientModifyLog:
 
     def _remove(self, record):
         self._records.remove(record)
+        self._unref(record.fid)
         self.stats.optimized_records += 1
         self.stats.optimized_bytes += record.size
 
@@ -291,6 +354,7 @@ class ClientModifyLog:
         for record in done:
             self.stats.reintegrated_records += 1
             self.stats.reintegrated_bytes += record.size
+            self._unref(record.fid)
         self._records = [r for r in self._records
                          if id(r) not in self._frozen]
         self._frozen = set()
@@ -307,6 +371,9 @@ class ClientModifyLog:
         self._frozen = set()
         survivors = self._records
         self._records = []
+        # Re-insertion rebuilds the index; every fid it held may move.
+        self._moved.update(self._fid_refs)
+        self._fid_refs = {}
         for record in survivors:
             self._optimize_and_insert(record)
         self._notify()
@@ -318,7 +385,12 @@ class ClientModifyLog:
         CML and becomes a user-visible conflict instead.
         """
         doomed = set(id(r) for r in records)
-        kept = [r for r in self._records if id(r) not in doomed]
+        kept = []
+        for record in self._records:
+            if id(record) in doomed:
+                self._unref(record.fid)
+            else:
+                kept.append(record)
         removed = len(self._records) - len(kept)
         self._records = kept
         self._frozen = set()

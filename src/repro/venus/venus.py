@@ -43,6 +43,12 @@ from repro.venus.misshandler import MissLog, MissRecord
 from repro.venus.repair import ConflictStore, Repairer
 from repro.venus.states import VenusState, VenusStateMachine
 
+#: Most paths ``Venus._mount_for`` remembers before it starts over.  A
+#: replay segment resolves a few hundred distinct paths; the bound keeps
+#: one-off names (temp files, removed paths) from growing the memo for
+#: the life of a long-running client.
+MOUNT_MEMO_CAP = 4096
+
 
 @dataclass
 class VenusConfig:
@@ -171,6 +177,7 @@ class Venus:
         self.foreground_ops = 0
         self.suppressed_fetches = set()
         self._mounts = {}            # tuple(prefix) -> (volid, root_fid)
+        self._mount_memo = {}        # path -> _mount_for(path)
         self._fid_counter = count(1)
         self._client_tag = zlib.crc32(node.encode("utf-8")) % 4096
         self._walker = None          # set lazily (import cycle)
@@ -250,12 +257,14 @@ class Venus:
         return Fid(volid, base + n, base + n)
 
     def _local_work(self):
-        """Generator: charge one operation's CPU on the shared host CPU.
+        """The generator that charges one operation's CPU on the host.
 
         Foreground work and packet processing contend here, which is
-        why heavy trickle traffic slows replay by a few percent.
+        why heavy trickle traffic slows replay by a few percent.  A
+        plain call returning :meth:`HostCpu.use`'s generator, so the
+        ``yield from`` at every call site runs one frame, not two.
         """
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        return self.endpoint.cpu.use(self.config.local_op_cost)
 
     class _Foreground:
         """Counts in-flight foreground activity for trickle deferral."""
@@ -287,13 +296,33 @@ class Venus:
             prefix = registry.mount_of(volume)
             self._mounts[prefix] = (volume.volid, volume.root_fid)
             self.cache.volume_info(volume.volid)
+        self._mount_memo.clear()
+
+    def set_mounts(self, mounts):
+        """Replace the whole mount table (state restoration)."""
+        self._mounts = dict(mounts)
+        self._mount_memo.clear()
 
     def _mount_for(self, path):
+        """``((volid, root_fid), components below the mount, prefix)``.
+
+        Memoised per path until the mount table next changes, or until
+        the memo holds MOUNT_MEMO_CAP paths and starts over; the
+        component tuple is shared, so callers must not mutate it.
+        """
+        memo = self._mount_memo
+        found = memo.get(path)
+        if found is not None:
+            return found
         parts = tuple(split_path(path))
         for cut in range(len(parts), -1, -1):
             hit = self._mounts.get(parts[:cut])
             if hit is not None:
-                return hit, list(parts[cut:]), "/" + "/".join(parts[:cut])
+                found = (hit, parts[cut:], "/" + "/".join(parts[:cut]))
+                if len(memo) >= MOUNT_MEMO_CAP:
+                    memo.clear()
+                memo[path] = found
+                return found
         raise FileNotFoundError("no volume mounted for %r" % (path,))
 
     # ------------------------------------------------------------------
@@ -321,8 +350,10 @@ class Venus:
         """
         (volid, root_fid), parts, prefix = self._mount_for(path)
         yield from self._local_work()
-        here = yield from self._demand_object(root_fid, prefix,
-                                              program=program, fetch=fetch)
+        here = self._hit(root_fid, prefix)
+        if here is None:
+            here = yield from self._demand_object(
+                root_fid, prefix, program=program, fetch=fetch)
         if not parts:
             return None, "", here
         walked = prefix
@@ -333,9 +364,10 @@ class Venus:
             walked = walked + "/" + name
             if child_fid is None:
                 raise FileNotFoundError(walked)
-            here = yield from self._demand_object(child_fid, walked,
-                                                  program=program,
-                                                  fetch=fetch)
+            here = self._hit(child_fid, walked)
+            if here is None:
+                here = yield from self._demand_object(
+                    child_fid, walked, program=program, fetch=fetch)
         name = parts[-1]
         if here.children is None:
             raise NotADirectoryError(walked)
@@ -346,26 +378,45 @@ class Venus:
                 child_fid, path, program=program, want_data=False)
         return here, name, entry
 
+    def _hit(self, fid, path):
+        """Demand ``fid`` as a plain call if the cache can serve it.
+
+        On a hit (a cached entry with data, valid unless disconnected)
+        counts the operation, touches the entry, observes the hit and
+        returns the entry; on anything else returns None with no side
+        effect, and the caller enters :meth:`_demand_object`.  Most
+        demands on a warm cache hit, and a plain call skips a
+        generator frame.
+        """
+        cache = self.cache
+        entry = cache.get(fid)
+        if entry is None or not entry.has_data:
+            return None
+        # ``self.state.connected``, inlined.
+        if (self.state.state is not VenusState.EMULATING
+                and not cache.is_valid(entry)):
+            return None
+        self.stats.operations += 1
+        cache.touch(entry, self.sim.now)
+        if self.sim.obs.enabled:
+            self._observe_reference(hit=True, path=path)
+        return entry
+
     def _demand_object(self, fid, path, program=None, entry=None,
                        fetch=True, want_data=True):
-        """Generator: return a usable cache entry for ``fid``.
+        """Generator: the miss path for ``fid``.
 
-        This is the miss-handling heart (section 4.4.1): a miss while
-        hoarding fetches transparently; while emulating it fails;
-        while write disconnected the estimated service time is
-        compared with the patience threshold.
+        Entered only once the caller has ruled out a hit (for a
+        directory walk, :meth:`_hit` returned None; for :meth:`_lookup`,
+        the entry lacks the wanted data or is stale).  This is the
+        miss-handling heart (section 4.4.1): a miss while hoarding
+        fetches transparently; while emulating it fails; while write
+        disconnected the estimated service time is compared with the
+        patience threshold.
         """
         self.stats.operations += 1
         if entry is None:
             entry = self.cache.get(fid)
-        usable = (entry is not None
-                  and (entry.has_data or not want_data)
-                  and (not self.state.connected
-                       or self.cache.is_valid(entry)))
-        if usable:
-            self.cache.touch(entry, self.sim.now)
-            self._observe_reference(hit=True, path=path)
-            return entry
         if not fetch:
             if entry is not None:
                 return entry
@@ -847,12 +898,7 @@ class Venus:
     def _log(self, record):
         if not self.config.log_optimizations:
             # Ablation: append without any cancellation.
-            record.time = self.sim.now
-            record.seqno = next(self.cml._seq)
-            self.cml.stats.appended_records += 1
-            self.cml.stats.appended_bytes += record.size
-            self.cml._records.append(record)
-            self.cml._notify()
+            self.cml.append_unoptimized(record, self.sim.now)
         else:
             self.cml.append(record, self.sim.now)
         obs = self.sim.obs
@@ -862,11 +908,23 @@ class Venus:
         self._refresh_dirty()
 
     def _refresh_dirty(self):
-        dirty_fids = set()
-        for record in self.cml:
-            dirty_fids.add(record.fid)
-        for entry in self.cache.iter_entries():
-            entry.dirty = entry.fid in dirty_fids
+        """Make every resident entry's ``dirty`` say "the CML references it".
+
+        Incremental: a resident entry can disagree with the log only if
+        its fid entered or left the referenced set since the last
+        refresh, or if it was inserted since then; every other entry
+        still holds the value an earlier refresh gave it.  The flags
+        that result are exactly those of the full scan
+        ``entry.dirty = entry.fid in {r.fid for r in cml}``.
+        """
+        references = self.cml.references
+        get = self.cache.get
+        for fid in self.cml.take_moved_fids():
+            entry = get(fid)
+            if entry is not None:
+                entry.dirty = references(fid)
+        for entry in self.cache.take_inserted():
+            entry.dirty = references(entry.fid)
 
     # ------------------------------------------------------------------
     # Hoarding API
